@@ -3,7 +3,8 @@
 // Parameters: [ user factors U (num_users x rank) | item factors V
 // (num_items x rank) ] flattened row-major. Loss per rating (u,i,r):
 //   0.5 * (r - U_u . V_i)^2 + 0.5 * reg * (|U_u|^2 + |V_i|^2) / n_touch
-// Gradients are sparse: only the factor rows present in the batch move.
+// Gradients are sparse: only the factor rows present in the batch move, and
+// they are emitted canonical (one coalesced block per touched row).
 #pragma once
 
 #include <memory>

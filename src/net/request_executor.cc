@@ -152,12 +152,10 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
     }
     if (push->sparse) {
       obs::ScopedTimer timer(push_hist_);
-      Gradient grad = Gradient::Sparse();
-      grad.sparse().Reserve(push->indices.size());
-      for (std::size_t i = 0; i < push->indices.size(); ++i) {
-        grad.sparse().Add(push->indices[i], push->values[i]);
-      }
-      const bool touched = store_->PushShard(push->shard, grad, push->epoch);
+      // Untrusted entries: the store range-checks each one and applies only
+      // this shard's, whatever their order.
+      const bool touched = store_->PushShardSparseSlice(
+          push->shard, push->indices, push->values, push->epoch);
       pushes_.fetch_add(1, std::memory_order_relaxed);
       return AckResp{kAckOk, touched ? 1u : 0u};
     }

@@ -18,6 +18,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span_recorder.h"
+#include "ps/shard_offsets.h"
 
 namespace specsync::net {
 
@@ -80,6 +81,9 @@ struct ShardClient::Link {
   std::uint64_t next_id = 1;                                // guarded by mutex
   bool link_up = false;                                     // guarded by mutex
   bool reconnecting = false;                                // guarded by mutex
+  // Set by ~ShardClient before it shuts the socket, so the receiver's exit
+  // is not counted as a link death.
+  bool closing = false;  // guarded by mutex
 
   // Swapped only by the single reconnecting thread after the receiver has
   // been joined; read concurrently by senders (send_mutex) and the receiver.
@@ -185,6 +189,9 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   SPECSYNC_CHECK_GT(config_.max_attempts, 0u);
   dim_ = config_.topology.dim();
   shard_link_ = config_.topology.ShardLinkIndex();
+  for (const ShardPlacement& shard : config_.topology.shards) {
+    shard_offsets_.push_back(shard.offset);
+  }
   for (const Endpoint& endpoint : config_.topology.DistinctEndpoints()) {
     auto link = std::make_unique<Link>();
     link->endpoint = endpoint;
@@ -234,6 +241,7 @@ ShardClient::~ShardClient() {
     {
       std::scoped_lock lock(link->mutex);
       link->link_up = false;
+      link->closing = true;
     }
     link->connection.ShutdownBoth();
     if (link->receiver.joinable()) link->receiver.join();
@@ -316,12 +324,14 @@ void ShardClient::ReceiverLoop(Link* link) {
     slot->done = true;
     slot->cv.notify_one();
   }
-  // The link is dead (EOF, error, or lost framing). Fail every waiter so it
-  // retries immediately instead of burning its full timeout; the first
-  // retrying caller runs the reconnect.
-  if (link->deaths_counter != nullptr) link->deaths_counter->Increment();
-  RecordNetState("link_down", link->endpoint.port);
+  // The link is dead (EOF, error, or lost framing) unless the destructor shut
+  // it. Fail every waiter so it retries immediately instead of burning its
+  // full timeout; the first retrying caller runs the reconnect.
   std::scoped_lock lock(link->mutex);
+  if (!link->closing) {
+    if (link->deaths_counter != nullptr) link->deaths_counter->Increment();
+    RecordNetState("link_down", link->endpoint.port);
+  }
   link->link_up = false;
   for (auto& [id, slot] : link->pending) {
     slot->failed = true;
@@ -531,23 +541,6 @@ WireMessage ShardClient::Call(std::size_t shard, const WireMessage& request) {
   return Await(ticket);
 }
 
-std::size_t ShardClient::ShardOf(std::size_t index) const {
-  SPECSYNC_CHECK_LT(index, dim_);
-  // Mirrors ParameterServer::ShardOf over the placement table.
-  const auto& shards = config_.topology.shards;
-  std::size_t lo = 0;
-  std::size_t hi = shards.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (shards[mid].offset <= index) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 ShardPullResult ShardClient::PullShard(std::size_t s) {
   SPECSYNC_CHECK_LT(s, num_shards());
   WireMessage response = Call(s, PullShardReq{static_cast<std::uint32_t>(s)});
@@ -676,22 +669,26 @@ std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch,
       requests.emplace_back(std::move(req));
     }
   } else {
-    std::vector<PushShardReq> by_shard(num_shards());
-    const auto indices = grad.sparse().indices();
-    const auto values = grad.sparse().values();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const std::size_t s = ShardOf(static_cast<std::size_t>(indices[i]));
-      by_shard[s].indices.push_back(indices[i]);
-      by_shard[s].values.push_back(values[i]);
-    }
-    for (std::size_t s = 0; s < by_shard.size(); ++s) {
-      if (by_shard[s].indices.empty()) continue;
-      by_shard[s].shard = static_cast<std::uint32_t>(s);
-      by_shard[s].epoch = epoch;
-      by_shard[s].sparse = true;
-      by_shard[s].coded = coded;
+    // The canonical run is cut at the shard boundaries; each shard's message
+    // carries its contiguous range.
+    const SparseUpdate& sparse = grad.sparse();
+    const std::vector<std::size_t> cuts =
+        CutCanonical(sparse, shard_offsets_, dim_);
+    for (std::size_t s = 0; s < num_shards(); ++s) {
+      if (cuts[s] == cuts[s + 1]) continue;
+      const auto from = static_cast<std::ptrdiff_t>(cuts[s]);
+      const auto to = static_cast<std::ptrdiff_t>(cuts[s + 1]);
+      PushShardReq req;
+      req.shard = static_cast<std::uint32_t>(s);
+      req.epoch = epoch;
+      req.sparse = true;
+      req.coded = coded;
+      req.indices.assign(sparse.indices().begin() + from,
+                         sparse.indices().begin() + to);
+      req.values.assign(sparse.values().begin() + from,
+                        sparse.values().begin() + to);
       shards.push_back(s);
-      requests.emplace_back(std::move(by_shard[s]));
+      requests.emplace_back(std::move(req));
     }
     // Like RouteGradient: an empty gradient still crosses the wire as one
     // empty message, so the push protocol sees exactly one logical push.

@@ -134,8 +134,10 @@ class ShardClient {
   ShardPullResult PullShard(std::size_t s);
 
   // Routes `grad` to its owning shards (all slice messages pipelined), then
-  // commits once per distinct server touched. Returns the largest committed
-  // global version reported. `pool` is accepted and unused, as in Pull().
+  // commits once per distinct server touched. A sparse `grad` must be
+  // canonical (checked), as for ParameterServer::RouteGradient. Returns the
+  // largest committed global version reported. `pool` is accepted and
+  // unused, as in Pull().
   std::uint64_t Push(const Gradient& grad, EpochId epoch,
                      ThreadPool* pool = nullptr);
 
@@ -188,13 +190,13 @@ class ShardClient {
   void RecordClientSpan(const Ticket& ticket);
   // Issue + Await: one synchronous request.
   WireMessage Call(std::size_t shard, const WireMessage& request);
-  std::size_t ShardOf(std::size_t index) const;
 
   ShardClientConfig config_;
   FaultPlan* faults_;
   obs::SpanRecorder* spans_ = nullptr;
   std::size_t dim_ = 0;
   std::vector<std::size_t> shard_link_;  // shard id → links_ index
+  std::vector<std::size_t> shard_offsets_;  // shard id → first index
   std::vector<std::unique_ptr<Link>> links_;
 
   obs::LatencyHistogram* rtt_hist_ = nullptr;

@@ -21,7 +21,8 @@ void SgdApplier::Apply(const Gradient& grad, EpochId epoch,
     for (std::uint64_t index : grad.sparse().indices()) {
       SPECSYNC_CHECK_LT(index, params.size());
     }
-    ApplySparseSlice(grad.sparse(), epoch, 0, params);
+    ApplySparseSlice(grad.sparse().indices(), grad.sparse().values(), epoch, 0,
+                     params);
   } else {
     ApplyDenseSlice(grad.dense(), epoch, params);
   }
@@ -44,13 +45,12 @@ void SgdApplier::ApplyDenseSlice(std::span<const double> grad, EpochId epoch,
   }
 }
 
-std::size_t SgdApplier::ApplySparseSlice(const SparseUpdate& grad,
-                                         EpochId epoch, std::size_t offset,
-                                         std::span<double> params) const {
+std::size_t SgdApplier::ApplySparseSlice(
+    std::span<const std::uint64_t> indices, std::span<const double> values,
+    EpochId epoch, std::size_t offset, std::span<double> params) const {
+  SPECSYNC_CHECK_EQ(indices.size(), values.size());
   const double eta = schedule_->Rate(epoch);
   const double alpha = -eta;
-  const auto indices = grad.indices();
-  const auto values = grad.values();
   const std::size_t end = offset + params.size();
   std::size_t applied = 0;
   for (std::size_t i = 0; i < indices.size(); ++i) {

@@ -7,6 +7,7 @@
 // workloads against rare blow-ups under extreme staleness.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -37,10 +38,12 @@ class SgdApplier {
   void ApplyDenseSlice(std::span<const double> grad, EpochId epoch,
                        std::span<double> params) const;
 
-  // Applies the entries of `grad` whose indices fall in
+  // Applies the (indices[i], values[i]) entries whose indices fall in
   // [offset, offset + params.size()) onto the slice (params[i] holds full
-  // index offset + i). Returns the number of entries applied.
-  std::size_t ApplySparseSlice(const SparseUpdate& grad, EpochId epoch,
+  // index offset + i) and skips the rest, in any index order. Returns the
+  // number of entries applied.
+  std::size_t ApplySparseSlice(std::span<const std::uint64_t> indices,
+                               std::span<const double> values, EpochId epoch,
                                std::size_t offset,
                                std::span<double> params) const;
 

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "ps/shard_offsets.h"
 
 namespace specsync {
 
@@ -200,15 +201,6 @@ GradientCodec::GradientCodec(
   }
 }
 
-std::size_t GradientCodec::ShardOfIndex(std::size_t index) const {
-  // Shards are contiguous ascending slices: the owning shard is the last
-  // offset <= index.
-  const auto it = std::upper_bound(shard_offsets_.begin(),
-                                   shard_offsets_.end(), index);
-  SPECSYNC_CHECK(it != shard_offsets_.begin());
-  return static_cast<std::size_t>(it - shard_offsets_.begin()) - 1;
-}
-
 void GradientCodec::Transform(WorkerId worker, Gradient& grad) {
   switch (spec_.kind) {
     case CodecKind::kNone:
@@ -309,22 +301,17 @@ void GradientCodec::QuantizeInPlace(Gradient& grad) const {
   const bool int8 = spec_.kind == CodecKind::kInt8;
   if (grad.is_sparse()) {
     grad.sparse().Coalesce();
-    const auto indices = grad.sparse().indices();
     const auto values = grad.sparse().mutable_values();
     if (int8) {
-      // Per-shard scales over exactly the entries each PushShardReq ships.
-      std::vector<double> max_abs(shard_offsets_.size(), 0.0);
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        const std::size_t s = ShardOfIndex(indices[i]);
-        max_abs[s] = std::max(max_abs[s], std::fabs(values[i]));
-      }
-      std::vector<double> scales(shard_offsets_.size(), 0.0);
-      for (std::size_t s = 0; s < scales.size(); ++s) {
-        scales[s] = Int8ScaleFor(std::span<const double>(&max_abs[s], 1));
-      }
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        const double scale = scales[ShardOfIndex(indices[i])];
-        values[i] = DequantizeInt8(QuantizeInt8(values[i], scale), scale);
+      // Per-shard scales over exactly the entries each PushShardReq ships:
+      // the shard's range of the canonical run.
+      const std::vector<std::size_t> cuts =
+          CutCanonical(grad.sparse(), shard_offsets_, param_dim_);
+      for (std::size_t s = 0; s < shard_offsets_.size(); ++s) {
+        const std::span<double> slice =
+            values.subspan(cuts[s], cuts[s + 1] - cuts[s]);
+        const double scale = Int8ScaleFor(slice);
+        for (double& v : slice) v = DequantizeInt8(QuantizeInt8(v, scale), scale);
       }
     } else {
       for (double& v : values) v = DecodeFp16(EncodeFp16(v));

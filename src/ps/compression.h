@@ -140,7 +140,6 @@ class GradientCodec {
  private:
   void TransformTopK(WorkerId worker, Gradient& grad);
   void QuantizeInPlace(Gradient& grad) const;
-  std::size_t ShardOfIndex(std::size_t index) const;
 
   CompressionSpec spec_;
   std::size_t param_dim_ = 0;

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "ps/shard_offsets.h"
 
 namespace specsync {
 
@@ -84,6 +85,7 @@ ParameterServer::ParameterServer(std::size_t dim, std::size_t num_shards,
     shard->offset = offset;
     shard->length = length;
     shards_.push_back(std::move(shard));
+    shard_offsets_.push_back(offset);
   }
 }
 
@@ -198,13 +200,7 @@ std::uint64_t ParameterServer::PullShardSlice(std::size_t s,
 
 std::size_t ParameterServer::ShardOf(std::size_t index) const {
   SPECSYNC_CHECK_LT(index, dim_);
-  // Shards are near-equal; binary search over offsets.
-  auto it = std::upper_bound(
-      shards_.begin(), shards_.end(), index,
-      [](std::size_t idx, const std::unique_ptr<Shard>& s) {
-        return idx < s->offset;
-      });
-  return static_cast<std::size_t>(std::distance(shards_.begin(), it)) - 1;
+  return ShardOfOffset(shard_offsets_, index);
 }
 
 std::size_t ParameterServer::shard_bytes(std::size_t s) const {
@@ -223,12 +219,11 @@ std::vector<ParameterServer::ShardRoute> ParameterServer::RouteGradient(
     }
     return routes;
   }
-  std::vector<std::size_t> nnz(shards_.size(), 0);
-  for (std::uint64_t index : grad.sparse().indices()) {
-    ++nnz[ShardOf(static_cast<std::size_t>(index))];
-  }
+  const std::vector<std::size_t> cuts =
+      CutCanonical(grad.sparse(), shard_offsets_, dim_);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (nnz[s] > 0) routes.push_back(ShardRoute{s, nnz[s] * 16});
+    const std::size_t nnz = cuts[s + 1] - cuts[s];
+    if (nnz > 0) routes.push_back(ShardRoute{s, nnz * 16});
   }
   // An empty gradient still crosses the wire as one (empty) message, so the
   // push protocol and version accounting see exactly one logical push.
@@ -244,8 +239,20 @@ bool ParameterServer::PushShard(std::size_t s, const Gradient& grad,
   const std::span<double> slice(params_.data() + shard.offset, shard.length);
   bool touched = false;
   if (grad.is_sparse()) {
-    touched = applier_->ApplySparseSlice(grad.sparse(), epoch, shard.offset,
-                                         slice) > 0;
+    const SparseUpdate& sparse = grad.sparse();
+    SPECSYNC_CHECK(sparse.canonical())
+        << "sparse gradient pushed before Coalesce()";
+    const auto indices = sparse.indices();
+    const auto begin =
+        std::lower_bound(indices.begin(), indices.end(), shard.offset);
+    const auto end =
+        std::lower_bound(begin, indices.end(), shard.offset + shard.length);
+    const auto first = static_cast<std::size_t>(begin - indices.begin());
+    const auto count = static_cast<std::size_t>(end - begin);
+    touched = applier_->ApplySparseSlice(
+                  indices.subspan(first, count),
+                  sparse.values().subspan(first, count), epoch, shard.offset,
+                  slice) > 0;
   } else {
     SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
     applier_->ApplyDenseSlice(
@@ -269,6 +276,20 @@ bool ParameterServer::PushShardDenseSlice(std::size_t s,
       slice, epoch, std::span<double>(params_.data() + shard.offset,
                                       shard.length));
   const bool touched = shard.length > 0;
+  if (touched) ++shard.version;
+  return touched;
+}
+
+bool ParameterServer::PushShardSparseSlice(
+    std::size_t s, std::span<const std::uint64_t> indices,
+    std::span<const double> values, EpochId epoch) {
+  SPECSYNC_CHECK_LT(s, shards_.size());
+  Shard& shard = *shards_[s];
+  TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
+  const bool touched =
+      applier_->ApplySparseSlice(
+          indices, values, epoch, shard.offset,
+          std::span<double>(params_.data() + shard.offset, shard.length)) > 0;
   if (touched) ++shard.version;
   return touched;
 }

@@ -117,10 +117,21 @@ class ParameterServer {
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
   // Applies only shard `s`'s slice of `grad` (the sim's per-shard push
-  // messages land here, each at its own arrival time). Bumps the shard
-  // version iff the slice was non-empty; never bumps the global version.
-  // Returns whether the slice touched the shard.
+  // messages land here, each at its own arrival time). A sparse `grad` must
+  // be canonical; its slice is the run between the shard's bounds, found by
+  // binary search. Bumps the shard version iff the slice was non-empty;
+  // never bumps the global version. Returns whether the slice touched the
+  // shard.
   bool PushShard(std::size_t s, const Gradient& grad, EpochId epoch);
+
+  // Wire-path variant of PushShard for sparse entries decoded from a peer's
+  // bytes: any order, duplicates and foreign indices allowed. Each entry is
+  // range-checked and only shard `s`'s entries apply, so hostile input can
+  // never write outside the shard or abort the server. Same version
+  // semantics as PushShard.
+  bool PushShardSparseSlice(std::size_t s,
+                            std::span<const std::uint64_t> indices,
+                            std::span<const double> values, EpochId epoch);
 
   // Wire-path variant of PushShard for dense gradients: `slice` is already
   // cut to shard `s` (slice.size() must equal the shard's length — a
@@ -154,8 +165,10 @@ class ParameterServer {
 
   // Wire routing of one push: the shards `grad` touches and the bytes each
   // per-shard message carries (dense: every shard, slice bytes; sparse:
-  // owning shards, 16 bytes per entry). An empty gradient routes one empty
-  // message to shard 0 so a push is never silently message-free.
+  // owning shards, 16 bytes per entry). A sparse `grad` must be canonical
+  // (checked): the sorted run is cut at the shard boundaries. An empty
+  // gradient routes one empty message to shard 0 so a push is never silently
+  // message-free.
   struct ShardRoute {
     std::size_t shard = 0;
     std::size_t bytes = 0;
@@ -182,6 +195,7 @@ class ParameterServer {
   // sized at construction and never reallocated.
   DenseVector params_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::size_t> shard_offsets_;  // shards_[s]->offset, ascending
   std::atomic<std::uint64_t> version_{0};
 
   // Whole-operation instruments (null = off); set once by AttachMetrics.

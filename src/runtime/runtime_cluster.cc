@@ -42,6 +42,7 @@ using SchedulerMsg =
     std::variant<NotifyMsg, PullMsg, WorkerDownMsg, WorkerUpMsg>;
 
 // Merges per-chunk gradients (each a mean over its chunk) into their average.
+// Sparse chunks are canonical runs, merged without a re-sort.
 Gradient MergeChunks(std::vector<Gradient> chunks) {
   SPECSYNC_CHECK(!chunks.empty());
   const double weight = 1.0 / static_cast<double>(chunks.size());
@@ -52,16 +53,14 @@ Gradient MergeChunks(std::vector<Gradient> chunks) {
     }
     return merged;
   }
-  Gradient merged = Gradient::Sparse();
+  std::vector<SparseUpdate> runs;
+  runs.reserve(chunks.size());
   for (Gradient& chunk : chunks) {
     chunk.sparse().ScaleValues(weight);
-    const auto indices = chunk.sparse().indices();
-    const auto values = chunk.sparse().values();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      merged.sparse().Add(indices[i], values[i]);
-    }
+    runs.push_back(std::move(chunk.sparse()));
   }
-  merged.sparse().Coalesce();
+  Gradient merged = Gradient::Sparse();
+  merged.sparse() = MergeCanonical(runs);
   return merged;
 }
 

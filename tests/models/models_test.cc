@@ -2,9 +2,15 @@
 // model), loss semantics, and trainability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/synthetic.h"
@@ -163,6 +169,94 @@ TEST(MfModelTest, GradientIsSparseAndTouchesOnlyBatchRows) {
   ASSERT_TRUE(grad.is_sparse());
   // One rating touches exactly 2*rank coordinates.
   EXPECT_EQ(grad.sparse().nnz(), 4u);
+}
+
+// The pre-row-block emission: per-element (index, value) pairs in batch
+// order, user entry then item entry for each k, stable-coalesced. The model's
+// row-block emission must reproduce it bit for bit.
+double ReferenceMfLossAndGradient(const RatingsDataset& data,
+                                  const MatrixFactorizationConfig& config,
+                                  std::span<const double> params,
+                                  std::span<const std::size_t> batch,
+                                  SparseUpdate& grad) {
+  const std::size_t r = config.rank;
+  const double inv_batch = 1.0 / static_cast<double>(batch.size());
+  const double grad_scale = config.sum_gradient ? 1.0 : inv_batch;
+  std::vector<std::pair<std::uint64_t, double>> pairs;
+  double loss = 0.0;
+  for (const std::size_t idx : batch) {
+    const Rating& rating = data.rating(idx);
+    const std::size_t uo = rating.user * r;
+    const std::size_t io = (data.num_users() + rating.item) * r;
+    double dot = 0.0;
+    for (std::size_t k = 0; k < r; ++k) dot += params[uo + k] * params[io + k];
+    const double err = dot - rating.value;
+    double reg_term = 0.0;
+    for (std::size_t k = 0; k < r; ++k) {
+      const double uk = params[uo + k];
+      const double vk = params[io + k];
+      reg_term += uk * uk + vk * vk;
+      pairs.emplace_back(uo + k,
+                         grad_scale * (err * vk + config.regularization * uk));
+      pairs.emplace_back(io + k,
+                         grad_scale * (err * uk + config.regularization * vk));
+    }
+    loss += 0.5 * err * err + 0.5 * config.regularization * reg_term;
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  grad.Clear();
+  for (const auto& [index, value] : pairs) {
+    if (!grad.empty() && grad.indices().back() == index) {
+      grad.mutable_values().back() += value;
+    } else {
+      grad.Add(index, value);
+    }
+  }
+  return loss * inv_batch;
+}
+
+TEST(MfModelTest, RowBlockGradientMatchesPerElementReferenceBitwise) {
+  // Few users and items, so every batch repeats rows three and more times
+  // and the summation order is visible in the low bits.
+  Rng data_rng(31);
+  RatingsSpec spec;
+  spec.num_users = 5;
+  spec.num_items = 4;
+  spec.num_ratings = 300;
+  spec.true_rank = 3;
+  auto data = std::make_shared<RatingsDataset>(GenerateRatings(spec, data_rng));
+  for (const bool sum_gradient : {true, false}) {
+    MatrixFactorizationConfig config;
+    config.rank = 6;
+    config.regularization = 0.03;
+    config.init_scale = 1.5;
+    config.sum_gradient = sum_gradient;
+    MatrixFactorizationModel model(data, config);
+    Rng rng(32);
+    std::vector<double> params(model.param_dim());
+    for (int trial = 0; trial < 50; ++trial) {
+      model.InitParams(params, rng);
+      std::vector<std::size_t> batch(1 + rng.Index(120));
+      for (std::size_t& idx : batch) idx = rng.Index(data->size());
+      Gradient grad;
+      const double loss = model.LossAndGradient(params, batch, grad);
+      SparseUpdate want;
+      const double want_loss =
+          ReferenceMfLossAndGradient(*data, config, params, batch, want);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loss),
+                std::bit_cast<std::uint64_t>(want_loss));
+      ASSERT_TRUE(grad.is_sparse());
+      EXPECT_TRUE(grad.sparse().canonical());
+      ASSERT_EQ(grad.sparse().nnz(), want.nnz());
+      for (std::size_t i = 0; i < want.nnz(); ++i) {
+        ASSERT_EQ(grad.sparse().indices()[i], want.indices()[i]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(grad.sparse().values()[i]),
+                  std::bit_cast<std::uint64_t>(want.values()[i]))
+            << "trial " << trial << " index " << want.indices()[i];
+      }
+    }
+  }
 }
 
 TEST(SoftmaxModelTest, UniformInitGivesLogCLoss) {

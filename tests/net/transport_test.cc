@@ -20,6 +20,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/scheduler.h"
 #include "core/speculation.h"
@@ -278,6 +279,106 @@ TEST_P(TransportTest, EmptyGradientPushStillCommits) {
   EXPECT_EQ(client.Push(Gradient::Sparse(), 0), 1u);
   EXPECT_EQ(store->version(), 1u);
   EXPECT_EQ(store->shard(0).version, 0u);  // empty slice touches nothing
+}
+
+// The client's push split cuts the canonical run at shard boundaries; it must
+// send exactly the messages, and land exactly the updates, that a per-element
+// ShardOf routing would.
+TEST_P(TransportTest, SparsePushSplitMatchesPerElementReference) {
+  constexpr std::size_t kDim = 37;  // 5 uneven shards: 8, 8, 7, 7, 7
+  auto store = MakeStore(kDim, 5);
+  auto server = StartServer(store.get());
+  ShardClient client(ClientConfigFor(*store, server->port()));
+  ASSERT_TRUE(client.Connect());
+
+  DenseVector expected = store->Snapshot();
+  std::vector<std::uint64_t> expected_shard_versions(store->num_shards(), 0);
+  std::uint64_t expected_messages = 0;
+  Rng rng(20261020);
+  for (int round = 0; round < 40; ++round) {
+    Gradient g = Gradient::Sparse();
+    for (std::size_t i = 0; i < kDim; ++i) {
+      // Shard boundaries (offsets 0, 8, 16, 23, 30 and their last indices)
+      // are always candidates; round 0 pushes the empty gradient.
+      const bool boundary = i == 0 || i == 7 || i == 8 || i == 15 ||
+                            i == 16 || i == 23 || i == 29 || i == 30 ||
+                            i == kDim - 1;
+      if (round > 0 && rng.Bernoulli(boundary ? 0.5 : 0.15)) {
+        g.sparse().Add(i, 0.0625 * static_cast<double>(rng.Index(32)) - 1.0);
+      }
+    }
+    std::vector<bool> touched(store->num_shards(), false);
+    for (std::size_t i = 0; i < g.sparse().nnz(); ++i) {
+      const std::size_t index = g.sparse().indices()[i];
+      expected[index] -= g.sparse().values()[i];
+      touched[store->ShardOf(index)] = true;
+    }
+    const auto count = static_cast<std::uint64_t>(
+        std::count(touched.begin(), touched.end(), true));
+    expected_messages += std::max<std::uint64_t>(count, 1);
+    for (std::size_t s = 0; s < touched.size(); ++s) {
+      if (touched[s]) ++expected_shard_versions[s];
+    }
+    EXPECT_EQ(client.Push(g, 0), static_cast<std::uint64_t>(round + 1));
+  }
+  EXPECT_EQ(store->Snapshot(), expected);
+  for (std::size_t s = 0; s < store->num_shards(); ++s) {
+    EXPECT_EQ(store->shard(s).version, expected_shard_versions[s]) << s;
+  }
+  EXPECT_EQ(server->stats().pushes, expected_messages);
+}
+
+TEST_P(TransportTest, NonCanonicalSparsePushIsRejectedBeforeTheWire) {
+  auto store = MakeStore(10, 2);
+  auto server = StartServer(store.get());
+  ShardClient client(ClientConfigFor(*store, server->port()));
+  ASSERT_TRUE(client.Connect());
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(6, 1.0);
+  g.sparse().Add(2, 1.0);
+  EXPECT_THROW(client.Push(g, 0), CheckError);
+  EXPECT_EQ(server->stats().pushes, 0u);
+}
+
+// Hostile sparse push: a peer's entries arrive unsorted, duplicated, for
+// another shard, or past the vector. The server applies exactly the entries
+// its shard owns, in arrival order, and keeps serving.
+TEST_P(TransportTest, HostileSparsePushAppliesOnlyInShardEntries) {
+  auto store = MakeStore(10, 2);  // shards [0,5) and [5,10)
+  auto server = StartServer(store.get());
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+  PushShardReq req;
+  req.shard = 1;
+  req.sparse = true;
+  req.indices = {9, 2, 5, 1ull << 60, 9, 7, ~0ull};
+  req.values = {1.0, 100.0, 2.0, 100.0, 0.5, 4.0, 100.0};
+  ASSERT_TRUE(conn.SendAll(EncodeFrame(req, 11)));
+  std::vector<std::uint8_t> reply;
+  ASSERT_EQ(conn.RecvFrame(reply, std::chrono::steady_clock::now() +
+                                      std::chrono::seconds(5)),
+            TcpConnection::RecvStatus::kFrame);
+  std::uint64_t id = 0;
+  WireMessage out;
+  ASSERT_EQ(DecodeFrame(reply, id, out), WireStatus::kOk);
+  ASSERT_TRUE(std::holds_alternative<AckResp>(out));
+  EXPECT_EQ(std::get<AckResp>(out).status, kAckOk);
+  EXPECT_EQ(std::get<AckResp>(out).value, 1u);  // shard 1 touched
+
+  DenseVector expected(10);
+  std::iota(expected.begin(), expected.end(), 1.0);
+  expected[9] -= 1.0;
+  expected[9] -= 0.5;
+  expected[5] -= 2.0;
+  expected[7] -= 4.0;
+  EXPECT_EQ(store->Snapshot(), expected);
+  EXPECT_EQ(store->shard(0).version, 0u);
+  EXPECT_EQ(store->shard(1).version, 1u);
+
+  // Still serving.
+  ShardClient client(ClientConfigFor(*store, server->port()));
+  ASSERT_TRUE(client.Connect());
+  EXPECT_EQ(client.Pull().params, expected);
 }
 
 TEST_P(TransportTest, UnservedShardAnsweredWithBadShardAck) {
@@ -625,6 +726,42 @@ TEST_P(TransportTest, PerLinkCountersExportedToRegistry) {
   EXPECT_EQ(metrics.gauge("net.link.in_flight" + label).value(), 0.0);
 }
 
+// net.link.link_deaths counts links the server side closed, not the client's
+// own clean shutdown.
+TEST_P(TransportTest, LinkDeathsCountServerClosesNotCleanShutdown) {
+  auto store = MakeStore(12, 3);
+  auto server = StartServer(store.get());
+  const std::string deaths = "net.link.link_deaths{link=127.0.0.1:" +
+                             std::to_string(server->port()) + "}";
+
+  obs::MetricsRegistry clean_metrics;
+  {
+    ShardClient client(ClientConfigFor(*store, server->port()), nullptr,
+                       &clean_metrics);
+    ASSERT_TRUE(client.Connect());
+    EXPECT_EQ(client.Pull().params, store->Pull().params);
+  }
+  EXPECT_EQ(clean_metrics.counter(deaths).value(), 0u);
+
+  obs::MetricsRegistry closed_metrics;
+  {
+    ShardClient client(ClientConfigFor(*store, server->port()), nullptr,
+                       &closed_metrics);
+    ASSERT_TRUE(client.Connect());
+    EXPECT_EQ(client.Pull().params, store->Pull().params);
+    server->Stop();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (closed_metrics.counter(deaths).value() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(closed_metrics.counter(deaths).value(), 1u);
+  }
+  // Destroying the client after the death adds nothing.
+  EXPECT_EQ(closed_metrics.counter(deaths).value(), 1u);
+}
+
 TEST_P(TransportTest, ClientAndServerSpansStitchViaFlowIds) {
   // Client and server each record into their own SpanRecorder (as two
   // processes would); every client request span's flow_out id must appear as
@@ -736,6 +873,9 @@ void RunGoldenSchedule(std::size_t dim, PullFn pull, PushFn push) {
         Gradient g = Gradient::Sparse();
         g.sparse().Add((w * 7) % dim, 0.25 * static_cast<double>(w + 1));
         g.sparse().Add((w * 7 + dim / 2) % dim, -0.125);
+        // The second index wraps below the first for large w; pushes take
+        // canonical gradients. Two distinct indices: the store is unchanged.
+        g.sparse().Coalesce();
         push(w, g, r);
       } else {
         Gradient g = Gradient::Dense(dim);

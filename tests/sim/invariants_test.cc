@@ -29,6 +29,13 @@ struct SchemeCase {
   bool stalls = false;
 };
 
+// Without a printer gtest dumps the raw bytes, which include the string's
+// heap pointer, so the ctest names (which carry the printed parameter)
+// would change on every build.
+void PrintTo(const SchemeCase& scheme_case, std::ostream* os) {
+  *os << scheme_case.name;
+}
+
 std::vector<SchemeCase> AllSchemes() {
   SpeculationParams cherry;
   cherry.abort_time = Duration::Seconds(0.3);
