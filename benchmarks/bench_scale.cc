@@ -3,225 +3,40 @@
 // The ROADMAP's north star is "what does SpecSync do at datacenter scale";
 // BENCH_harness.json named the two engine blockers: the Adaptive tuner's
 // O(pushes²) Algorithm-1 replay and DES throughput collapse once sharding
-// multiplies events. This bench tracks both after the calendar-queue /
-// incremental-tuner rewrite, in three sections:
+// multiplies events. This bench tracks the heap DES core and the incremental
+// tuner end to end, on three cells:
 //
-//  1. DES-core hold model — the classic queue benchmark (pop the minimum,
-//     push a successor at popped_time + jitter) at simulator-like occupancy,
-//     run A/B/C over three engines: the *legacy* seed engine reconstructed
-//     verbatim (std::priority_queue of heap-allocating std::function events —
-//     what src/sim/simulator.h shipped before the rewrite), the pooled
-//     binary heap, and the calendar queue. The ≥3× events/sec acceptance
-//     claim is calendar vs legacy at 16-server occupancy, printed and
-//     recorded per engine in BENCH_scale.json.
-//  2. End-to-end engine cells — a 16-server transfer-bound convex run (the
-//     shape BENCH_harness.json flagged at 7 s/sim-second) and the MF
-//     SpecSync-Adaptive cell whose tuner cost motivated the incremental
-//     replay (4.8 s/cell before; ≥2× better now).
-//  3. workers=1000 — a thousand-worker, 16-shard transfer-bound run, the
-//     scale the old engines could not reach interactively. Under --smoke
-//     this run is a CI gate: a pinned events/sec floor and wall-time ceiling
-//     fail the job (nonzero exit) on regression.
+//  - transfer16 — a 16-server transfer-bound convex run (the shape
+//    BENCH_harness.json flagged at 7 s/sim-second);
+//  - mf-adaptive — the 64-worker MF SpecSync-Adaptive cell whose tuner cost
+//    motivated the incremental replay (enough pushes per epoch that an
+//    O(pushes²) replay would dominate it);
+//  - workers=1000 — a thousand-worker, 16-shard transfer-bound run, where
+//    every worker starts at t=0 and timestamp ties are dense. Under --smoke
+//    this run is a CI gate: a pinned events/sec floor and wall-time ceiling
+//    fail the job (nonzero exit) on regression.
 //
-// Telemetry lands in BENCH_scale.json (override with SPECSYNC_BENCH_JSON);
-// the hold-model rows use sim_events = hold operations so the JSON's
-// per-cell events/sec is directly the engine's pop+push throughput.
+// Telemetry lands in BENCH_scale.json (override with SPECSYNC_BENCH_JSON).
 //
-// Regenerate: build/bench/bench_scale            (full, ~1 min)
+// Regenerate: build/bench/bench_scale            (full, a few seconds)
 //             build/bench/bench_scale --smoke    (CI gate, seconds)
-#include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <iostream>
-#include <queue>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "benchmarks/bench_util.h"
-#include "common/rng.h"
-#include "sim/calendar_queue.h"
-#include "sim/event_fn.h"
 
 using namespace specsync;
-
-namespace {
-
-// --- section 1: DES-core hold model -----------------------------------------
-
-// The seed event core, reconstructed for an honest A/B: a std::priority_queue
-// of (time, sequence, std::function) entries, each callback heap-allocated by
-// std::function and copied through the heap's sift operations. Kept verbatim
-// so the baseline in BENCH_scale.json stays the engine the ISSUE measured.
-struct LegacyEvent {
-  SimTime time;
-  std::uint64_t sequence = 0;
-  std::function<void()> fn;
-};
-struct LegacyLater {
-  bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.sequence > b.sequence;
-  }
-};
-using LegacyQueue =
-    std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyLater>;
-
-struct HoldResult {
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;  // pop+push pairs executed
-  double EventsPerSec() const {
-    return wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
-                              : 0.0;
-  }
-};
-
-// Successor jitter: the classic hold model pushes each popped event's
-// follow-up U(0.1, 1.9) seconds ahead, so the live set keeps a ~2 s spread
-// at every occupancy — the "bounded lookahead past now" regime the DES
-// steady state lives in.
-double NextDelta(Rng& rng) { return rng.Uniform(0.1, 1.9); }
-
-// Simulator callbacks capture several words of context (worker id, version,
-// arrival time, the cluster Impl pointer), which overflows std::function's
-// small-buffer inline storage — that per-event heap allocation is exactly
-// what the legacy engine paid and EventFn's 64-byte inline buffer does not.
-// The hold payload reproduces that footprint.
-struct HoldPayload {
-  std::uint64_t* sink = nullptr;
-  std::uint64_t worker = 0;
-  std::uint64_t version = 0;
-  double arrival = 0.0;
-};
-
-HoldResult HoldLegacy(std::size_t occupancy, std::uint64_t ops,
-                      std::uint64_t* sink) {
-  Rng rng(bench::kBenchRootSeed);
-  LegacyQueue queue;
-  std::uint64_t seq = 0;
-  const auto make = [sink](std::uint64_t i, double t) {
-    const HoldPayload payload{sink, i, i ^ 0x9e37u, t};
-    return [payload] { *payload.sink += 1 + (payload.version & 0); };
-  };
-  for (std::size_t i = 0; i < occupancy; ++i) {
-    const double t = rng.Uniform(0.0, 1.0);
-    queue.push({SimTime::FromSeconds(t), seq++, make(i, t)});
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    // The seed Simulator::Step, verbatim: "priority_queue::top() is const;
-    // the event is copied out" — one std::function clone per pop.
-    LegacyEvent event = queue.top();
-    queue.pop();
-    event.fn();
-    const SimTime at = event.time + Duration::Seconds(NextDelta(rng));
-    queue.push({at, seq++, make(i, at.seconds())});
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
-  return {wall.count(), ops};
-}
-
-template <typename Queue>
-HoldResult HoldPooled(std::size_t occupancy, std::uint64_t ops,
-                      std::uint64_t* sink) {
-  Rng rng(bench::kBenchRootSeed);
-  Queue queue;
-  const auto make = [sink](std::uint64_t i, double t) {
-    const HoldPayload payload{sink, i, i ^ 0x9e37u, t};
-    return EventFn([payload] { *payload.sink += 1 + (payload.version & 0); });
-  };
-  for (std::size_t i = 0; i < occupancy; ++i) {
-    const double t = rng.Uniform(0.0, 1.0);
-    queue.Push(SimTime::FromSeconds(t), make(i, t));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    SimTime at;
-    EventFn fn = queue.PopMin(&at);
-    fn();
-    const SimTime next = at + Duration::Seconds(NextDelta(rng));
-    queue.Push(next, make(i, next.seconds()));
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
-  return {wall.count(), ops};
-}
-
-void RecordHoldCell(bench::BenchReporter& reporter, const std::string& engine,
-                    std::size_t occupancy, const HoldResult& result) {
-  bench::BenchReporter::CellRecord record;
-  record.workload = "hold-model";
-  record.scheme = engine;
-  record.label = "occupancy=" + std::to_string(occupancy);
-  record.seed = occupancy;
-  record.wall_seconds = result.wall_seconds;
-  record.sim_events = result.events;
-  reporter.Add(record);
-}
-
-// Runs the three engines at one occupancy; returns calendar-vs-legacy ratio.
-double HoldSection(bench::BenchReporter& reporter, std::size_t occupancy,
-                   std::uint64_t ops) {
-  std::uint64_t sink = 0;
-  // Best of two passes per engine: the classic defense against host noise
-  // (the slower pass ate a scheduler hiccup, not a queue cost).
-  const auto best = [](HoldResult a, HoldResult b) {
-    return a.wall_seconds <= b.wall_seconds ? a : b;
-  };
-  const HoldResult legacy = best(HoldLegacy(occupancy, ops, &sink),
-                                 HoldLegacy(occupancy, ops, &sink));
-  const HoldResult heap =
-      best(HoldPooled<BinaryHeapQueue<EventFn>>(occupancy, ops, &sink),
-           HoldPooled<BinaryHeapQueue<EventFn>>(occupancy, ops, &sink));
-  const HoldResult calendar =
-      best(HoldPooled<CalendarQueue<EventFn>>(occupancy, ops, &sink),
-           HoldPooled<CalendarQueue<EventFn>>(occupancy, ops, &sink));
-  if (sink != 6 * ops) std::abort();  // keeps the callbacks observable
-  RecordHoldCell(reporter, "legacy-heap", occupancy, legacy);
-  RecordHoldCell(reporter, "pooled-heap", occupancy, heap);
-  RecordHoldCell(reporter, "calendar", occupancy, calendar);
-  const double ratio =
-      legacy.EventsPerSec() > 0.0
-          ? calendar.EventsPerSec() / legacy.EventsPerSec()
-          : 0.0;
-  Table table({"engine", "events/sec", "vs legacy"});
-  table.AddRowValues("legacy-heap", legacy.EventsPerSec(), 1.0);
-  table.AddRowValues("pooled-heap", heap.EventsPerSec(),
-                     heap.EventsPerSec() / legacy.EventsPerSec());
-  table.AddRowValues("calendar", calendar.EventsPerSec(), ratio);
-  std::cout << "\nhold model, occupancy=" << occupancy << ", " << ops
-            << " ops:\n";
-  table.PrintPretty(std::cout);
-  return ratio;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // This bench owns its own artifact; figure benches keep BENCH_harness.json.
   setenv("SPECSYNC_BENCH_JSON", "BENCH_scale.json", /*overwrite=*/0);
   const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader(
-      "scale — calendar-queue DES core + incremental Adaptive tuner",
-      "engine throughput at datacenter scale: >=3x DES events/sec at "
-      "16-server occupancy, >=2x MF Adaptive cell, workers=1000 viable");
+      "scale — heap DES core + incremental Adaptive tuner",
+      "engine throughput at datacenter scale: 16-server convex, 64-worker "
+      "MF Adaptive, workers=1000 viable");
 
   bench::BenchReporter reporter("bench_scale");
-  const auto run_t0 = std::chrono::steady_clock::now();
-
-  // 1. DES-core hold model. occupancy 1024 ~ a 16-server sim's resident
-  // events (per-shard arrivals + worker timers); 16384 ~ the 1000-worker
-  // cluster below. The acceptance ratio is the 1024-occupancy row.
-  const std::uint64_t hold_ops = args.smoke ? 300'000 : 2'000'000;
-  const double core_ratio = HoldSection(reporter, 1024, hold_ops);
-  const double thousand_worker_ratio = HoldSection(reporter, 16384, hold_ops);
-  std::cout << "des-core speedup at 16-server occupancy: " << core_ratio
-            << "x (acceptance floor 3x)\n";
-  reporter.AddMetric("des_core_speedup_16server", core_ratio);
-  reporter.AddMetric("des_core_speedup_1000worker", thousand_worker_ratio);
-
-  // 2. End-to-end engine cells through the deterministic runner.
   bench::CellBatch batch;
   const Workload convex = MakeConvexWorkload(/*seed=*/1, /*scale=*/0.2);
   ExperimentConfig transfer16;
@@ -230,10 +45,19 @@ int main(int argc, char** argv) {
   transfer16.scheme = SchemeSpec::Adaptive();
   transfer16.max_time = SimTime::FromSeconds(args.smoke ? 60.0 : 240.0);
   transfer16.stop_on_convergence = false;
-  const std::size_t transfer_series =
-      batch.AddSeries(convex, transfer16, /*replicates=*/1, "transfer16");
+  batch.AddSeries(convex, transfer16, /*replicates=*/1, "transfer16");
 
-  // 3. workers=1000, 16 shards: every pull and push fans out per shard, so
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  ExperimentConfig mf_adaptive;
+  mf_adaptive.cluster = ClusterSpec::Homogeneous(64);
+  mf_adaptive.cluster.num_servers = 4;
+  mf_adaptive.scheme = SchemeSpec::Adaptive();
+  mf_adaptive.max_time = SimTime::FromSeconds(args.smoke ? 400.0 : 1500.0);
+  mf_adaptive.stop_on_convergence = false;
+  batch.AddSeries(mf, mf_adaptive, /*replicates=*/1, "mf-adaptive",
+                  /*explicit_seed=*/41);
+
+  // workers=1000, 16 shards: every pull and push fans out per shard, so
   // this is the transfer-bound regime where the old engines collapsed.
   ExperimentConfig thousand;
   thousand.cluster = ClusterSpec::Homogeneous(1000);
@@ -241,102 +65,30 @@ int main(int argc, char** argv) {
   thousand.scheme = SchemeSpec::Adaptive();
   thousand.max_time = SimTime::FromSeconds(args.smoke ? 8.0 : 30.0);
   thousand.stop_on_convergence = false;
-  const std::size_t thousand_series =
-      batch.AddSeries(convex, thousand, /*replicates=*/1, "workers=1000");
+  batch.AddSeries(convex, thousand, /*replicates=*/1, "workers=1000");
 
   batch.Run(args.threads);
   reporter.AddBatch(batch);
 
-  // 4. Tuner replay A/B — its own *serial* batch, because a wall-time ratio
-  // measured inside a contended thread pool compares scheduler luck, not
-  // replay engines. Both cells pin one explicit seed so the A/B replays the
-  // exact same history (label-derived seeding would hand each series its own
-  // world); "mf-full-replay" runs the retained full Algorithm-1 loop (the
-  // seed's O(pushes²) replay, kept behind incremental=false as the
-  // equivalence reference).
-  bench::CellBatch tuner_batch;
-  const Workload mf = MakeMfWorkload(/*seed=*/1);
-  ExperimentConfig mf_adaptive;
-  // 64 workers: enough pushes per epoch (~100+) that the full replay's
-  // O(pushes²) term dominates the cell — the regime the ROADMAP flagged.
-  // At 40 workers the quadratic term only matches the base sim cost and the
-  // ratio sits uselessly near the noise floor.
-  mf_adaptive.cluster = ClusterSpec::Homogeneous(64);
-  mf_adaptive.cluster.num_servers = 4;
-  mf_adaptive.scheme = SchemeSpec::Adaptive();
-  mf_adaptive.max_time = SimTime::FromSeconds(args.smoke ? 400.0 : 1500.0);
-  mf_adaptive.stop_on_convergence = false;
-  constexpr std::uint64_t kMfSeed = 41;
-  const std::size_t mf_series = tuner_batch.AddSeries(
-      mf, mf_adaptive, /*replicates=*/1, "mf-adaptive", kMfSeed);
-  AdaptiveTunerConfig full_replay;
-  full_replay.incremental = false;
-  ExperimentConfig mf_full = mf_adaptive;
-  mf_full.scheme = SchemeSpec::Adaptive(full_replay);
-  const std::size_t mf_full_series = tuner_batch.AddSeries(
-      mf, mf_full, /*replicates=*/1, "mf-full-replay", kMfSeed);
-  tuner_batch.Run(/*threads=*/1);
-  reporter.AddBatch(tuner_batch);
-
-  (void)transfer_series;
-  (void)mf_series;
-  (void)mf_full_series;
-  (void)thousand_series;
   Table cells({"cell", "wall(s)", "sim events", "events/sec"});
   double thousand_wall = 0.0;
   double thousand_rate = 0.0;
-  double mf_incremental_wall = 0.0;
-  double mf_full_wall = 0.0;
-  std::uint64_t mf_incremental_digest = 0;
-  std::uint64_t mf_full_digest = 0;
-  const auto scan = [&](const bench::CellBatch& b) {
-    for (std::size_t i = 0; i < b.cells().size(); ++i) {
-      const CellResult& cell = b.results()[i];
-      const double rate =
-          cell.wall_seconds > 0.0
-              ? static_cast<double>(cell.sim_events) / cell.wall_seconds
-              : 0.0;
-      cells.AddRowValues(b.cells()[i].label, cell.wall_seconds,
-                         static_cast<unsigned long>(cell.sim_events), rate);
-      if (b.cells()[i].label == "workers=1000") {
-        thousand_wall = cell.wall_seconds;
-        thousand_rate = rate;
-      } else if (b.cells()[i].label == "mf-adaptive") {
-        mf_incremental_wall = cell.wall_seconds;
-        mf_incremental_digest = cell.trace_digest;
-      } else if (b.cells()[i].label == "mf-full-replay") {
-        mf_full_wall = cell.wall_seconds;
-        mf_full_digest = cell.trace_digest;
-      }
+  for (std::size_t i = 0; i < batch.cells().size(); ++i) {
+    const CellResult& cell = batch.results()[i];
+    const double rate =
+        cell.wall_seconds > 0.0
+            ? static_cast<double>(cell.sim_events) / cell.wall_seconds
+            : 0.0;
+    cells.AddRowValues(batch.cells()[i].label, cell.wall_seconds,
+                       static_cast<unsigned long>(cell.sim_events), rate);
+    if (batch.cells()[i].label == "workers=1000") {
+      thousand_wall = cell.wall_seconds;
+      thousand_rate = rate;
     }
-  };
-  scan(batch);
-  scan(tuner_batch);
-  std::cout << "\nend-to-end cells (threads=" << args.threads
-            << ", tuner A/B serial):\n";
+  }
+  std::cout << "\nend-to-end cells (threads=" << args.threads << "):\n";
   cells.PrintPretty(std::cout);
 
-  // Equivalence-by-construction, checked where the money is: the two replay
-  // engines must have produced the identical event history.
-  if (mf_incremental_digest != mf_full_digest) {
-    std::cout << "FATAL: incremental and full tuner replays diverged ("
-              << mf_incremental_digest << " vs " << mf_full_digest << ")\n";
-    return 1;
-  }
-  const double tuner_speedup =
-      mf_incremental_wall > 0.0 ? mf_full_wall / mf_incremental_wall : 0.0;
-  std::cout << "tuner replay speedup (full / incremental) on MF: "
-            << tuner_speedup << "x (acceptance floor 2x)\n";
-  reporter.AddMetric("tuner_replay_speedup_mf", tuner_speedup);
-
-  // AddBatch already accounted both batches' walls; only the hold-model
-  // sections still need folding into the run total (serial by construction,
-  // so they add to both wall and the serial estimate equally).
-  const std::chrono::duration<double> run_wall =
-      std::chrono::steady_clock::now() - run_t0;
-  const double hold_wall =
-      run_wall.count() - batch.wall_seconds() - tuner_batch.wall_seconds();
-  reporter.SetRun(args.threads, hold_wall, hold_wall);
   reporter.AddMetric("workers1000_events_per_sec", thousand_rate);
   reporter.AddMetric("workers1000_wall_seconds", thousand_wall);
   reporter.WriteJson();
@@ -357,21 +109,6 @@ int main(int argc, char** argv) {
     if (thousand_wall > kWallCeilingSeconds) {
       std::cout << "SMOKE FAIL: workers=1000 wall " << thousand_wall
                 << "s > ceiling " << kWallCeilingSeconds << "s\n";
-      ok = false;
-    }
-    // Canary only: wall-clock ratios on shared CI hosts are too noisy to
-    // gate the full 3x acceptance claim (that is the full run's number in
-    // BENCH_scale.json); 1.5x still catches a calendar-engine regression.
-    if (core_ratio < 1.5) {
-      std::cout << "SMOKE FAIL: des-core speedup " << core_ratio
-                << "x < 1.5x regression canary\n";
-      ok = false;
-    }
-    // Same idea for the tuner A/B (measured ~3.6x; anything under 1.5x
-    // means the incremental replay lost its asymptotic edge).
-    if (tuner_speedup < 1.5) {
-      std::cout << "SMOKE FAIL: tuner replay speedup " << tuner_speedup
-                << "x < 1.5x regression canary\n";
       ok = false;
     }
     std::cout << (ok ? "SMOKE OK" : "SMOKE FAILED") << "\n";

@@ -183,27 +183,16 @@ SpeculationParams AdaptiveTuner::OnEpochEnd(const TuningInputs& inputs) {
 
   Duration best_delta = Duration::Zero();
   double best_value = 0.0;  // Δ=0 yields F̃=0; only positive improvements win
-  if (config_.incremental) {
-    // Candidates past the saturation index are dominated (constant gain,
-    // non-decreasing loss) and the argmax keeps the first maximum, so
-    // evaluating [0, saturation] cannot change the decision.
-    const std::size_t eval_count = SaturationIndex(inputs, candidates) + 1;
-    EvaluateCandidatesInto(inputs, candidates, config_.loss_weight, eval_count,
-                           values_, thresholds_, buckets_);
-    for (std::size_t c = 0; c < eval_count; ++c) {
-      if (values_[c] > best_value) {
-        best_value = values_[c];
-        best_delta = candidates[c];
-      }
-    }
-  } else {
-    for (Duration delta : candidates) {
-      const double value =
-          EstimateImprovement(inputs, delta, config_.loss_weight);
-      if (value > best_value) {
-        best_value = value;
-        best_delta = delta;
-      }
+  // Candidates past the saturation index are dominated (constant gain,
+  // non-decreasing loss) and the argmax keeps the first maximum, so
+  // evaluating [0, saturation] cannot change the decision.
+  const std::size_t eval_count = SaturationIndex(inputs, candidates) + 1;
+  EvaluateCandidatesInto(inputs, candidates, config_.loss_weight, eval_count,
+                         values_, thresholds_, buckets_);
+  for (std::size_t c = 0; c < eval_count; ++c) {
+    if (values_[c] > best_value) {
+      best_value = values_[c];
+      best_delta = candidates[c];
     }
   }
   if (best_delta == Duration::Zero()) return {};  // speculation not worth it

@@ -130,10 +130,6 @@ struct ClusterSimConfig {
   // takes exactly the legacy paths: no transform, no extra RNG draws, and
   // bit-identical golden trace digests.
   CompressionSpec compression;
-  // DES engine selection. Pop order is bit-identical across engines (same
-  // (time, sequence) contract — see calendar_queue.h), so this only changes
-  // wall time; the heap is kept for A/B benchmarking and equivalence tests.
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
   // Optional observability context (src/obs), not owned; must outlive the
   // sim. When set, the run records per-worker spans (pull/compute/push/
   // aborted compute), scheduler audit records, and event counters/gauges.

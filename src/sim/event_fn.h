@@ -4,10 +4,10 @@
 // maybe a shared_ptr to an in-flight attempt). std::function heap-allocates
 // most of them (libstdc++'s small-object buffer is 16 bytes) and, being
 // copyable, forces a second allocation when an event is copied out of a
-// container. EventFn keeps closures up to kInlineBytes in the event node
-// itself — pooled by the calendar queue, so steady-state simulation performs
-// zero allocations per event — and transparently boxes the rare larger
-// closure on the heap (the box pointer then lives inline).
+// container. EventFn keeps closures up to kInlineBytes in the queue entry
+// itself — the heap's entry vector keeps its capacity, so steady-state
+// simulation performs zero allocations per event — and transparently boxes
+// the rare larger closure on the heap (the box pointer then lives inline).
 //
 // Move-only by design: an event fires exactly once, so nothing ever needs to
 // copy one. Moving an EventFn relocates the closure into the destination and

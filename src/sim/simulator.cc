@@ -8,11 +8,7 @@ void Simulator::ScheduleAt(SimTime at, Callback fn) {
   SPECSYNC_CHECK(at >= now_) << "cannot schedule in the past: " << at
                              << " < " << now_;
   SPECSYNC_CHECK(static_cast<bool>(fn)) << "scheduling an empty callback";
-  if (queue_kind_ == EventQueueKind::kCalendar) {
-    calendar_.Push(at, std::move(fn));
-  } else {
-    heap_.Push(at, std::move(fn));
-  }
+  queue_.Push(at, std::move(fn));
 }
 
 void Simulator::ScheduleAfter(Duration delay, Callback fn) {
@@ -21,20 +17,13 @@ void Simulator::ScheduleAfter(Duration delay, Callback fn) {
   ScheduleAt(now_ + delay, std::move(fn));
 }
 
-SimTime Simulator::PeekTime() {
-  return queue_kind_ == EventQueueKind::kCalendar ? calendar_.PeekTime()
-                                                  : heap_.PeekTime();
-}
-
 bool Simulator::Step() {
-  if (pending_events() == 0) return false;
-  // PopMin moves the callback out of the queue's node pool before we invoke
-  // it: the callback may schedule new events, which can grow the pool and
-  // relocate every node (calendar_queue.h lifetime rule 1).
+  if (queue_.empty()) return false;
+  // PopMin moves the callback out of the queue before we invoke it: the
+  // callback may schedule new events, which can grow the heap and relocate
+  // every entry (event_queue.h, payload lifetime).
   SimTime time;
-  EventFn fn = queue_kind_ == EventQueueKind::kCalendar
-                   ? calendar_.PopMin(&time)
-                   : heap_.PopMin(&time);
+  EventFn fn = queue_.PopMin(&time);
   now_ = time;
   ++events_processed_;
   fn();
@@ -43,8 +32,8 @@ bool Simulator::Step() {
 
 void Simulator::Run(SimTime until) {
   stop_requested_ = false;
-  while (!stop_requested_ && pending_events() > 0) {
-    if (PeekTime() > until) break;
+  while (!stop_requested_ && !queue_.empty()) {
+    if (queue_.PeekTime() > until) break;
     Step();
   }
 }

@@ -1,18 +1,21 @@
 // Tuner replay equivalence battery (DESIGN.md §12).
 //
-// The Adaptive tuner ships two Algorithm-1 replay engines: the retained full
-// replay (EstimateImprovement per candidate — the executable specification)
-// and the incremental sweep (sorted candidate thresholds, per-push binary
-// search, saturation pruning). Their contract is bit-identity: the same
-// F̃ value for every candidate, the same per-epoch ABORT_TIME/ABORT_RATE
-// decision, and the same audit retune records, down to the last floating-
-// point bit.
+// The Adaptive tuner evaluates Algorithm 1 with an incremental sweep (sorted
+// candidate thresholds, per-push binary search, saturation pruning). The
+// literal Algorithm-1 argmax — a loop over CandidateDeltas calling
+// EstimateImprovement (Eq. 7) per candidate — lives here as the reference.
+// Their contract is bit-identity: the same F̃ value for every candidate and
+// the same per-epoch ABORT_TIME/ABORT_RATE decision, down to the last
+// floating-point bit.
 //
 // Timelines are generated on a coarse binary grid (multiples of 1/8 s, all
 // exactly representable) so window edges frequently land *exactly* on push
 // times — the `time <= pull + Δ` boundary where an off-by-one in the
 // incremental bucketing would first diverge. On mismatch the harness shrinks
-// the push timeline to a 1-minimal counterexample and prints it.
+// the push timeline to a 1-minimal counterexample and prints it. A
+// scheduler-driven check feeds the tuner and the reference every epoch of a
+// long randomized protocol run, so the inputs the scheduler really builds
+// (trimmed history, EWMA spans, pulls after aborts) are covered too.
 //
 // A planted-bug check rounds out the battery: a deliberately wrong prune
 // (dropping the saturation candidate itself) must change a decision on a
@@ -22,6 +25,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,10 +38,8 @@
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "core/adaptive_tuner.h"
-#include "harness/experiment.h"
-#include "harness/workload.h"
-#include "obs/obs.h"
-#include "trace/trace.h"
+#include "core/scheduler.h"
+#include "sim/simulator.h"
 
 namespace specsync {
 namespace {
@@ -99,10 +102,57 @@ std::string FormatInputs(const TuningInputs& inputs) {
   return out.str();
 }
 
+// --- the reference -----------------------------------------------------------
+
+// Algorithm 1 as written: every candidate Δ evaluated by Eq. 7, first maximum
+// wins, then line 7's ABORT_RATE (or the per-worker Γ_i of Sec. IV-B).
+SpeculationParams ReferenceOnEpochEnd(const AdaptiveTunerConfig& config,
+                                      const TuningInputs& inputs) {
+  if (inputs.num_workers < 2 || inputs.pushes.size() < 2) return {};
+  const Duration mean_span = MeanSpan(inputs);
+  Duration best_delta = Duration::Zero();
+  double best_value = 0.0;
+  for (Duration delta : AdaptiveTuner::CandidateDeltas(
+           inputs, mean_span * config.max_delta_spans,
+           config.max_candidates)) {
+    const double value =
+        AdaptiveTuner::EstimateImprovement(inputs, delta, config.loss_weight);
+    if (value > best_value) {
+      best_value = value;
+      best_delta = delta;
+    }
+  }
+  if (best_delta == Duration::Zero()) return {};
+  SpeculationParams params;
+  params.abort_time = best_delta;
+  const double m = static_cast<double>(inputs.num_workers);
+  params.abort_rate = best_delta / mean_span * (m - 1.0) / m;
+  if (config.per_worker_rate) {
+    for (Duration span : inputs.iteration_span) {
+      params.per_worker_rate.push_back(best_delta / span * (m - 1.0) / m);
+    }
+  }
+  return params;
+}
+
+std::optional<std::string> CompareDecisions(const SpeculationParams& got,
+                                            const SpeculationParams& want) {
+  if (got.abort_time.seconds() == want.abort_time.seconds() &&
+      got.abort_rate == want.abort_rate &&
+      got.per_worker_rate == want.per_worker_rate) {
+    return std::nullopt;
+  }
+  std::ostringstream msg;
+  msg << "decision mismatch: tuner (ABORT_TIME " << got.abort_time.seconds()
+      << ", rate " << got.abort_rate << ") != reference (ABORT_TIME "
+      << want.abort_time.seconds() << ", rate " << want.abort_rate << ')';
+  return msg.str();
+}
+
 // --- equivalence checks ------------------------------------------------------
 
-// Bitwise comparison of the two engines on one timeline. Returns a failure
-// description, or nullopt when equivalent.
+// Bitwise comparison of the tuner and the reference on one timeline. Returns
+// a failure description, or nullopt when equivalent.
 std::optional<std::string> CheckEquivalence(const TuningInputs& inputs,
                                             double loss_weight,
                                             std::size_t max_candidates,
@@ -130,23 +180,9 @@ std::optional<std::string> CheckEquivalence(const TuningInputs& inputs,
   config.loss_weight = loss_weight;
   config.max_candidates = max_candidates;
   config.per_worker_rate = per_worker_rate;
-  config.incremental = true;
-  AdaptiveTuner incremental(config);
-  config.incremental = false;
-  AdaptiveTuner full(config);
-  const SpeculationParams got = incremental.OnEpochEnd(inputs);
-  const SpeculationParams want = full.OnEpochEnd(inputs);
-  if (got.abort_time.seconds() != want.abort_time.seconds() ||
-      got.abort_rate != want.abort_rate ||
-      got.per_worker_rate != want.per_worker_rate) {
-    std::ostringstream msg;
-    msg << "decision mismatch: incremental (ABORT_TIME "
-        << got.abort_time.seconds() << ", rate " << got.abort_rate
-        << ") != full replay (ABORT_TIME " << want.abort_time.seconds()
-        << ", rate " << want.abort_rate << ')';
-    return msg.str();
-  }
-  return std::nullopt;
+  AdaptiveTuner tuner(config);
+  return CompareDecisions(tuner.OnEpochEnd(inputs),
+                          ReferenceOnEpochEnd(config, inputs));
 }
 
 // Greedy ddmin over the push timeline: delete the largest chunk that keeps
@@ -256,39 +292,125 @@ TEST(TunerEquivalence, ScriptedSinglePusherAndNoPullWorkers) {
   EXPECT_EQ(CheckEquivalence(inputs, 1.0, 4096, false), std::nullopt);
 }
 
-TEST(TunerEquivalence, GoldenSimDigestAndAuditRetunesIdentical) {
-  // End to end: a full 8-worker Adaptive simulation under each engine must
-  // produce the identical trace digest and the identical audited retune
-  // sequence — every per-epoch ABORT_TIME/ABORT_RATE to the bit.
-  const Workload workload = MakeConvexWorkload(/*seed=*/1, /*scale=*/0.2);
-  ExperimentConfig config;
-  config.cluster = ClusterSpec::Homogeneous(8);
-  config.scheme = SchemeSpec::Adaptive();
-  config.max_time = SimTime::FromSeconds(120.0);
-  config.stop_on_convergence = false;
-  config.seed = 41;
+// --- scheduler-driven epochs -------------------------------------------------
 
-  obs::ObsContext incremental_obs;
-  config.scheme.adaptive.incremental = true;
-  config.obs = &incremental_obs;
-  const ExperimentResult incremental = RunExperiment(workload, config);
+// What the checking policy saw over one run.
+struct EpochLog {
+  std::size_t epochs = 0;
+  std::size_t enabled = 0;  // epochs whose decision turned speculation on
+  std::vector<std::string> mismatches;
+};
 
-  obs::ObsContext full_obs;
-  config.scheme.adaptive.incremental = false;
-  config.obs = &full_obs;
-  const ExperimentResult full = RunExperiment(workload, config);
+// A SpeculationPolicy that runs the production tuner and the reference on
+// every epoch's TuningInputs, logs any difference, and hands the scheduler
+// the tuner's decision.
+class ReferenceCheckingPolicy final : public SpeculationPolicy {
+ public:
+  ReferenceCheckingPolicy(AdaptiveTunerConfig config, EpochLog* log)
+      : config_(config), tuner_(config), log_(log) {}
 
-  EXPECT_EQ(TraceDigest(incremental.sim.trace), TraceDigest(full.sim.trace));
-  const auto got = incremental_obs.audit.retunes();
-  const auto want = full_obs.audit.retunes();
-  ASSERT_GT(want.size(), 0u) << "golden sim produced no retunes to compare";
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].epoch, want[i].epoch);
-    EXPECT_EQ(got[i].at.seconds(), want[i].at.seconds());
-    EXPECT_EQ(got[i].abort_time.seconds(), want[i].abort_time.seconds());
-    EXPECT_EQ(got[i].abort_rate, want[i].abort_rate);
-    EXPECT_EQ(got[i].epoch_pushes, want[i].epoch_pushes);
+  std::string name() const override { return "adaptive+reference"; }
+
+  SpeculationParams OnEpochEnd(const TuningInputs& inputs) override {
+    const SpeculationParams got = tuner_.OnEpochEnd(inputs);
+    ++log_->epochs;
+    if (got.enabled()) ++log_->enabled;
+    if (auto mismatch =
+            CompareDecisions(got, ReferenceOnEpochEnd(config_, inputs))) {
+      log_->mismatches.push_back("epoch " +
+                                 std::to_string(inputs.finished_epoch) + ": " +
+                                 *mismatch + "\n  " + FormatInputs(inputs));
+    }
+    return got;
+  }
+
+ private:
+  AdaptiveTunerConfig config_;
+  AdaptiveTuner tuner_;
+  EpochLog* log_;
+};
+
+// A closed-loop protocol run on the DES: each worker pulls, computes for a
+// random grid-multiple span, pushes (HandleNotify) and starts over; a check
+// timer that returns true aborts the worker's running iteration and restarts
+// it on a fresh pull, as the sim cluster does. Every epoch boundary retunes
+// through the checking policy.
+SchedulerStats DriveRandomTimeline(std::uint64_t seed,
+                                   AdaptiveTunerConfig config,
+                                   EpochLog* log) {
+  Rng rng(seed);
+  const std::size_t workers = 4 + rng.Index(9);  // 4..12
+  std::vector<double> base_span(workers);
+  for (double& span : base_span) {
+    span = kGrid * static_cast<double>(8 + rng.Index(24));
+  }
+  SchedulerConfig scheduler_config;
+  scheduler_config.num_workers = workers;
+  scheduler_config.default_span = Duration::Seconds(2.0);
+  SpecSyncScheduler scheduler(
+      scheduler_config,
+      std::make_unique<ReferenceCheckingPolicy>(config, log));
+
+  Simulator sim;
+  std::vector<std::uint64_t> generation(workers, 0);
+  std::vector<IterationId> iteration(workers, 0);
+  std::function<void(WorkerId)> start = [&](WorkerId w) {
+    const std::uint64_t gen = ++generation[w];
+    scheduler.HandlePull(w, sim.now());
+    // Mostly near the worker's base span, with occasional stragglers; all
+    // multiples of the grid so pushes collide with window edges.
+    double span = base_span[w] + kGrid * static_cast<double>(rng.Index(9));
+    if (rng.Index(20) == 0) span *= 3.0;
+    sim.ScheduleAfter(Duration::Seconds(span), [&, w, gen] {
+      if (generation[w] != gen) return;  // aborted meanwhile
+      const auto request = scheduler.HandleNotify(w, iteration[w]++, sim.now());
+      start(w);
+      if (!request.has_value()) return;
+      sim.ScheduleAfter(request->delay, [&, w, token = request->token] {
+        if (scheduler.HandleCheckTimer(w, token, sim.now())) start(w);
+      });
+    });
+  };
+  for (WorkerId w = 0; w < workers; ++w) {
+    // Staggered starts on the grid; some workers share a start time.
+    sim.ScheduleAt(SimTime::FromSeconds(kGrid * static_cast<double>(
+                       rng.Index(16))),
+                   [&, w] { start(w); });
+  }
+  sim.Run(SimTime::FromSeconds(1500.0));
+  return scheduler.stats();
+}
+
+TEST(TunerEquivalence, SchedulerDrivenEpochsMatchReference) {
+  // Four tuner configurations over several randomized timelines: the
+  // paper's objective, a weighted loss with per-worker rates, a small
+  // candidate cap that forces the strided subset, and a zero loss weight,
+  // whose F̃ is a step function with many exactly tied maxima — the case
+  // that pins the first-maximum tie-break.
+  AdaptiveTunerConfig paper;
+  AdaptiveTunerConfig weighted;
+  weighted.loss_weight = 0.3;
+  weighted.per_worker_rate = true;
+  AdaptiveTunerConfig capped;
+  capped.max_candidates = 7;
+  AdaptiveTunerConfig gain_only;
+  gain_only.loss_weight = 0.0;
+  const std::uint64_t base = BaseSeed();
+  std::size_t trial = 0;
+  for (const AdaptiveTunerConfig& config : {paper, weighted, capped, gain_only}) {
+    for (int run = 0; run < 3; ++run, ++trial) {
+      const std::uint64_t seed = base + trial * 7919ULL;
+      EpochLog log;
+      const SchedulerStats stats = DriveRandomTimeline(seed, config, &log);
+      EXPECT_GT(log.epochs, 100u) << "seed " << seed;
+      EXPECT_EQ(stats.retunes, log.epochs) << "seed " << seed;
+      EXPECT_GT(log.enabled, 0u)
+          << "seed " << seed << ": the tuner never enabled speculation";
+      EXPECT_GT(stats.resyncs_issued, 0u) << "seed " << seed;
+      ASSERT_TRUE(log.mismatches.empty())
+          << "seed " << seed << " (" << log.mismatches.size() << " of "
+          << log.epochs << " epochs differ); first: " << log.mismatches[0];
+    }
   }
 }
 

@@ -104,25 +104,6 @@ TEST(GoldenTraceTest, RerunningTheGoldenSimIsBitIdentical) {
             b.sim.scheduler_stats.resyncs_issued);
 }
 
-TEST(GoldenTraceTest, CalendarAndHeapEnginesProduceTheSameHistory) {
-  // The (time, sequence) pop-order contract makes the queue engine invisible
-  // to simulation results (calendar_queue.h). Equivalence by construction:
-  // the full golden run on each engine must yield the identical digest —
-  // which is also why the pins above needed no re-pinning when the calendar
-  // queue replaced the heap.
-  const Workload workload = MakeConvexWorkload(/*seed=*/1, /*scale=*/0.2);
-  ExperimentConfig config;
-  config.cluster = ClusterSpec::Homogeneous(8);
-  config.cluster.num_servers = 2;
-  config.scheme = SchemeSpec::Adaptive();
-  config.max_time = SimTime::FromSeconds(240.0);
-  config.stop_on_convergence = false;
-  config.seed = 41;
-  config.event_queue = EventQueueKind::kBinaryHeap;
-  const ExperimentResult heap = RunExperiment(workload, config);
-  EXPECT_EQ(TraceDigest(heap.sim.trace), kGoldenDigestTwoServers);
-}
-
 // Pinned digest of the large-N determinism guard below. Regenerate like the
 // other pins: copy the "Actual" digest from the failure message after an
 // intentional behavior change.
@@ -130,8 +111,8 @@ constexpr std::uint64_t kGoldenDigest128Workers = 6179538663448581388ULL;
 
 TEST(GoldenTraceTest, WorkersOneTwentyEightTraceDigestIsPinned) {
   // Large-N determinism: 128 workers exercise deep event-queue occupancy
-  // (resize + wraparound paths in the calendar engine) under a short horizon.
-  // The pin locks scheduling order at a scale the other pins never reach.
+  // and many equal-time ties under a short horizon. The pin locks
+  // scheduling order at a scale the other pins never reach.
   const Workload workload = MakeConvexWorkload(/*seed=*/1, /*scale=*/0.2);
   ExperimentConfig config;
   config.cluster = ClusterSpec::Homogeneous(128);
@@ -143,11 +124,6 @@ TEST(GoldenTraceTest, WorkersOneTwentyEightTraceDigestIsPinned) {
   const ExperimentResult result = RunExperiment(workload, config);
   EXPECT_GT(result.sim.trace.total_pushes(), 500u);
   EXPECT_EQ(TraceDigest(result.sim.trace), kGoldenDigest128Workers);
-
-  // Both engines at 128 workers, too — the digest is engine-invariant.
-  config.event_queue = EventQueueKind::kBinaryHeap;
-  const ExperimentResult heap = RunExperiment(workload, config);
-  EXPECT_EQ(TraceDigest(heap.sim.trace), kGoldenDigest128Workers);
 }
 
 // --- compressed-run pins ----------------------------------------------------

@@ -1,18 +1,16 @@
-// Property-based event-queue equivalence harness (DESIGN.md §12).
+// Property-based tests of the DES event queue (DESIGN.md §12).
 //
 // Each trial generates a random event-stream schedule — pushes with delta
 // mixtures that force duplicate timestamps, zero-delay self-inserts (a push
-// landing exactly at the last popped time), sub-bucket-width clusters, and
-// far-future outliers (resize + direct-search paths) — interleaved with pops
-// and cancels (including stale cancels of already-popped handles). The
-// schedule replays against the queue under test and an independently written
-// reference model (a flat vector popped by min-(time, sequence) scan, no
-// shared code), and every observable must match exactly:
+// landing exactly at the last popped time), sub-second clusters, and
+// far-future outliers — interleaved with pops. The schedule replays against
+// the queue under test and an independently written reference model (a flat
+// vector popped by min-(time, sequence) scan, no shared code), and every
+// observable must match exactly:
 //
-//  * pop order      — each pop returns the same (time, id) pair;
-//  * peek           — PeekTime before each pop equals the reference min;
-//  * cancel result  — Cancel(id) removed an event iff the reference still
-//                     held it (stale/duplicate cancels are no-ops on both).
+//  * pop order — each pop returns the same (time, id) pair;
+//  * peek      — PeekTime before each pop equals the popped time;
+//  * size      — after every op.
 //
 // On failure the harness shrinks the op list to a 1-minimal counterexample
 // (greedy ddmin, same scheme as consistency_property_test) and prints it. A
@@ -25,9 +23,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -37,8 +35,8 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "sim/calendar_queue.h"
 #include "sim/event_fn.h"
+#include "sim/event_queue.h"
 
 namespace specsync {
 namespace {
@@ -52,18 +50,13 @@ std::uint64_t BaseSeed() {
 
 // --- schedules ---------------------------------------------------------------
 
-enum class OpKind { kPush, kPop, kCancel };
-
-// One schedule event. kPush schedules event `id` at (last popped time +
-// delta); kPop pops the minimum if any; kCancel cancels push `target` — a
-// no-op (checked to agree on both sides) when that push never ran, already
-// popped, or was already cancelled. Every op is executable after arbitrary
+// One schedule event: a push of event `id` at (last popped time + delta), or
+// a pop of the minimum if any. Every op is executable after arbitrary
 // deletions, which keeps shrinking well-defined.
 struct Op {
-  OpKind kind = OpKind::kPush;
-  int id = 0;        // kPush: unique event id (its index in the op list)
-  double delta = 0;  // kPush: seconds after the queue's current floor
-  int target = 0;    // kCancel: id of the push to cancel
+  bool push = true;
+  int id = 0;        // push: unique event id (its index in the op list)
+  double delta = 0;  // push: seconds after the queue's current floor
 };
 
 struct Schedule {
@@ -77,14 +70,12 @@ Schedule GenerateSchedule(std::uint64_t seed) {
   s.ops.reserve(len);
   for (std::size_t i = 0; i < len; ++i) {
     Op op;
-    const std::size_t roll = rng.Index(100);
-    if (roll < 55) {
-      op.kind = OpKind::kPush;
+    op.push = rng.Index(100) < 60;
+    if (op.push) {
       op.id = static_cast<int>(i);
       // Delta mixture: exact duplicates of the floor (zero-delay
       // self-inserts), exact duplicates of each other (integer grid),
-      // sub-width fractions, and far-future outliers that leave the
-      // calendar's current year.
+      // fractions, and far-future outliers.
       const std::size_t shape = rng.Index(10);
       if (shape < 2) {
         op.delta = 0.0;
@@ -97,11 +88,6 @@ Schedule GenerateSchedule(std::uint64_t seed) {
       } else {
         op.delta = rng.Uniform(1e6, 1e9);
       }
-    } else if (roll < 85) {
-      op.kind = OpKind::kPop;
-    } else {
-      op.kind = OpKind::kCancel;
-      op.target = static_cast<int>(rng.Index(len));
     }
     s.ops.push_back(op);
   }
@@ -113,16 +99,10 @@ std::string FormatOps(const Schedule& s) {
   out << "ops:";
   for (const Op& op : s.ops) {
     out << ' ';
-    switch (op.kind) {
-      case OpKind::kPush:
-        out << "P" << op.id << "@+" << op.delta;
-        break;
-      case OpKind::kPop:
-        out << "pop";
-        break;
-      case OpKind::kCancel:
-        out << "X" << op.target;
-        break;
+    if (op.push) {
+      out << "P" << op.id << "@+" << op.delta;
+    } else {
+      out << "pop";
     }
   }
   return out.str();
@@ -131,7 +111,7 @@ std::string FormatOps(const Schedule& s) {
 // --- reference model ---------------------------------------------------------
 
 // Independent implementation of the documented queue semantics: a flat list
-// popped by linear min-(time, sequence) scan. Shares no code with the queues
+// popped by linear min-(time, sequence) scan. Shares no code with the queue
 // it judges.
 struct RefQueue {
   struct Entry {
@@ -144,15 +124,6 @@ struct RefQueue {
 
   void Push(double time, int id) {
     entries.push_back(Entry{time, next_sequence++, id});
-  }
-  bool Cancel(int id) {
-    for (auto it = entries.begin(); it != entries.end(); ++it) {
-      if (it->id == id) {
-        entries.erase(it);
-        return true;
-      }
-    }
-    return false;
   }
   std::optional<Entry> Pop() {
     if (entries.empty()) return std::nullopt;
@@ -171,11 +142,10 @@ struct RefQueue {
 
 // --- subjects ----------------------------------------------------------------
 
-// The queue under test, type-erased so the harness can drive the calendar
-// queue, the pooled heap, and planted-bug impostors identically.
+// The queue under test, type-erased so the harness can drive the heap and
+// planted-bug impostors identically.
 struct Subject {
   std::function<void(double time, int id)> push;
-  std::function<bool(int id)> cancel;  // false = nothing removed
   // Returns (PeekTime, popped id); checks internally that peek matches pop.
   std::function<std::optional<std::pair<double, int>>()> pop;
   std::function<std::size_t()> size;
@@ -183,36 +153,12 @@ struct Subject {
 
 using SubjectFactory = std::function<Subject()>;
 
-Subject CalendarSubject() {
-  auto queue = std::make_shared<CalendarQueue<int>>();
-  auto handles = std::make_shared<std::map<int, CalendarQueue<int>::Handle>>();
-  return {
-      [queue, handles](double time, int id) {
-        (*handles)[id] = queue->Push(SimTime::FromSeconds(time), id);
-      },
-      [queue, handles](int id) {
-        auto it = handles->find(id);
-        return it != handles->end() && queue->Cancel(it->second);
-      },
-      [queue]() -> std::optional<std::pair<double, int>> {
-        if (queue->empty()) return std::nullopt;
-        const double peek = queue->PeekTime().seconds();
-        SimTime popped_at;
-        const int id = queue->PopMin(&popped_at);
-        EXPECT_EQ(peek, popped_at.seconds());
-        return std::make_pair(popped_at.seconds(), id);
-      },
-      [queue] { return queue->size(); },
-  };
-}
-
-Subject PooledHeapSubject() {
+Subject HeapSubject() {
   auto queue = std::make_shared<BinaryHeapQueue<int>>();
   return {
       [queue](double time, int id) {
         queue->Push(SimTime::FromSeconds(time), id);
       },
-      [](int) { return false; },  // the heap engine does not support cancel
       [queue]() -> std::optional<std::pair<double, int>> {
         if (queue->empty()) return std::nullopt;
         const double peek = queue->PeekTime().seconds();
@@ -232,7 +178,6 @@ Subject LifoTieBreakSubject() {
   auto queue = std::make_shared<RefQueue>();
   return {
       [queue](double time, int id) { queue->Push(time, id); },
-      [queue](int id) { return queue->Cancel(id); },
       [queue]() -> std::optional<std::pair<double, int>> {
         if (queue->entries.empty()) return std::nullopt;
         auto min = queue->entries.begin();
@@ -258,8 +203,7 @@ struct RunOutcome {
   std::string detail;
 };
 
-RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make,
-                       bool subject_supports_cancel = true) {
+RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
   Subject subject = make();
   RefQueue ref;
   RunOutcome out;
@@ -294,30 +238,12 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make,
 
   for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
     const Op& op = schedule.ops[i];
-    switch (op.kind) {
-      case OpKind::kPush: {
-        const double time = floor + op.delta;
-        ref.Push(time, op.id);
-        subject.push(time, op.id);
-        break;
-      }
-      case OpKind::kPop:
-        if (!check_pop(i)) return out;
-        break;
-      case OpKind::kCancel: {
-        if (!subject_supports_cancel) break;
-        const bool got = subject.cancel(op.target);
-        const bool want = ref.Cancel(op.target);
-        if (got != want) {
-          std::ostringstream what;
-          what << "cancel(" << op.target << ") mismatch: subject "
-               << (got ? "removed" : "no-op") << ", reference "
-               << (want ? "removed" : "no-op");
-          fail(i, what.str());
-          return out;
-        }
-        break;
-      }
+    if (op.push) {
+      const double time = floor + op.delta;
+      ref.Push(time, op.id);
+      subject.push(time, op.id);
+    } else if (!check_pop(i)) {
+      return out;
     }
     if (subject.size() != ref.entries.size()) {
       std::ostringstream what;
@@ -340,10 +266,9 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make,
 // Greedy ddmin, same scheme as consistency_property_test: repeatedly delete
 // the largest op chunk that preserves the failure, halving the chunk until
 // single ops survive. The result is 1-minimal.
-Schedule Shrink(Schedule schedule, const SubjectFactory& make,
-                bool subject_supports_cancel = true) {
+Schedule Shrink(Schedule schedule, const SubjectFactory& make) {
   const auto still_fails = [&](const Schedule& candidate) {
-    return !RunSchedule(candidate, make, subject_supports_cancel).ok;
+    return !RunSchedule(candidate, make).ok;
   };
   std::size_t chunk = std::max<std::size_t>(1, schedule.ops.size() / 2);
   for (;;) {
@@ -370,37 +295,26 @@ Schedule Shrink(Schedule schedule, const SubjectFactory& make,
   return schedule;
 }
 
-void RunTrials(const SubjectFactory& make, std::size_t trials,
-               bool subject_supports_cancel) {
+// --- the battery -------------------------------------------------------------
+
+TEST(EventQueueProperty, MatchesReferenceOn1kRandomStreams) {
   const std::uint64_t base = BaseSeed();
-  for (std::size_t trial = 0; trial < trials; ++trial) {
+  for (std::size_t trial = 0; trial < 1000; ++trial) {
     const std::uint64_t seed = base + trial * 1000003ULL;
     const Schedule schedule = GenerateSchedule(seed);
-    const RunOutcome outcome =
-        RunSchedule(schedule, make, subject_supports_cancel);
+    const RunOutcome outcome = RunSchedule(schedule, HeapSubject);
     if (!outcome.ok) {
-      const Schedule minimal = Shrink(schedule, make, subject_supports_cancel);
-      const RunOutcome replay =
-          RunSchedule(minimal, make, subject_supports_cancel);
+      const Schedule minimal = Shrink(schedule, HeapSubject);
       FAIL() << "seed " << seed << " (trial " << trial
              << "): " << outcome.detail << "\nminimal counterexample ("
              << minimal.ops.size() << " ops): " << FormatOps(minimal)
-             << "\nminimal failure: " << replay.detail;
+             << "\nminimal failure: "
+             << RunSchedule(minimal, HeapSubject).detail;
     }
   }
 }
 
-// --- the battery -------------------------------------------------------------
-
-TEST(CalendarQueueProperty, MatchesReferenceOn1kRandomStreams) {
-  RunTrials(CalendarSubject, 1000, /*subject_supports_cancel=*/true);
-}
-
-TEST(CalendarQueueProperty, PooledHeapMatchesReference) {
-  RunTrials(PooledHeapSubject, 300, /*subject_supports_cancel=*/false);
-}
-
-TEST(CalendarQueueProperty, PlantedTieBreakViolationIsCaughtAndShrunk) {
+TEST(EventQueueProperty, PlantedTieBreakViolationIsCaughtAndShrunk) {
   // The harness must have teeth: a LIFO-among-ties queue fails some stream,
   // and the witness shrinks to a hand-checkable size.
   const std::uint64_t base = BaseSeed();
@@ -421,8 +335,8 @@ TEST(CalendarQueueProperty, PlantedTieBreakViolationIsCaughtAndShrunk) {
 
 // --- deterministic edge cases ------------------------------------------------
 
-TEST(CalendarQueueTest, EqualTimesPopInPushOrder) {
-  CalendarQueue<int> queue;
+TEST(EventQueueTest, EqualTimesPopInPushOrder) {
+  BinaryHeapQueue<int> queue;
   for (int i = 0; i < 100; ++i) queue.Push(SimTime::FromSeconds(1.0), i);
   for (int i = 0; i < 100; ++i) {
     SimTime at;
@@ -432,10 +346,8 @@ TEST(CalendarQueueTest, EqualTimesPopInPushOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(CalendarQueueTest, FarFutureBacklogFallsBackToDirectSearch) {
-  // A huge time gap makes the forward scan's year useless; the direct-search
-  // fallback must still find the true minimum and jump the calendar to it.
-  CalendarQueue<int> queue;
+TEST(EventQueueTest, FarFutureBacklogPopsInOrder) {
+  BinaryHeapQueue<int> queue;
   queue.Push(SimTime::FromSeconds(0.25), 1);
   queue.Push(SimTime::FromSeconds(1e12), 2);
   queue.Push(SimTime::FromSeconds(1e12 + 0.5), 3);
@@ -446,13 +358,12 @@ TEST(CalendarQueueTest, FarFutureBacklogFallsBackToDirectSearch) {
   EXPECT_EQ(queue.PopMin(), 3);
 }
 
-TEST(CalendarQueueTest, GrowAndShrinkPreserveStrictKeyOrder) {
-  CalendarQueue<int> queue;
+TEST(EventQueueTest, BulkRandomPushesPopInKeyOrder) {
+  BinaryHeapQueue<int> queue;
   Rng rng(7);
   for (int i = 0; i < 20000; ++i) {
     queue.Push(SimTime::FromSeconds(rng.Uniform(0.0, 50.0)), i);
   }
-  EXPECT_GT(queue.stats().resizes, 0u);
   double last_time = -1.0;
   int pops = 0;
   while (!queue.empty()) {
@@ -465,59 +376,71 @@ TEST(CalendarQueueTest, GrowAndShrinkPreserveStrictKeyOrder) {
   EXPECT_EQ(pops, 20000);
 }
 
-TEST(CalendarQueueTest, StaleCancelAfterSlotReuseIsNoOp) {
-  CalendarQueue<int> queue;
-  const auto handle = queue.Push(SimTime::FromSeconds(1.0), 1);
-  EXPECT_EQ(queue.PopMin(), 1);
-  // The node was freed; its slot may be recycled by the next push. The stale
-  // handle's generation no longer matches, so the cancel is a no-op.
-  queue.Push(SimTime::FromSeconds(2.0), 2);
-  EXPECT_FALSE(queue.Cancel(handle));
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.PopMin(), 2);
-}
-
-TEST(CalendarQueueTest, CancelledEventNeverPops) {
-  CalendarQueue<int> queue;
-  queue.Push(SimTime::FromSeconds(1.0), 1);
-  const auto doomed = queue.Push(SimTime::FromSeconds(1.0), 2);
-  queue.Push(SimTime::FromSeconds(1.0), 3);
-  EXPECT_TRUE(queue.Cancel(doomed));
-  EXPECT_FALSE(queue.Cancel(doomed));  // double cancel is a no-op
-  EXPECT_EQ(queue.PopMin(), 1);
-  EXPECT_EQ(queue.PopMin(), 3);
+TEST(EventQueueTest, TieStormPopsInTimeSequenceOrder) {
+  // Every worker starting at t=0 and BSP barriers releasing together put
+  // thousands of events on one timestamp. 10^5 events over 8 distinct
+  // timestamps, pushed in batches between pops (never before the last
+  // popped time), must pop in exact (time, sequence) order — checked
+  // against an ordered set of the same keys.
+  constexpr int kBatches = 100;
+  constexpr int kBatchSize = 1000;
+  constexpr int kTimestamps = 8;
+  BinaryHeapQueue<int> queue;
+  std::set<std::pair<double, int>> reference;
+  Rng rng(BaseSeed());
+  int next_id = 0;
+  int floor_slot = 0;  // index of the last popped timestamp
+  std::pair<double, int> last_popped{-1.0, -1};
+  const auto pop_one = [&] {
+    ASSERT_FALSE(reference.empty());
+    const std::pair<double, int> want = *reference.begin();
+    reference.erase(reference.begin());
+    SimTime at;
+    const int id = queue.PopMin(&at);
+    ASSERT_EQ(std::make_pair(at.seconds(), id), want);
+    ASSERT_LT(last_popped, want);
+    last_popped = want;
+    floor_slot = static_cast<int>(want.first * 2.0);
+  };
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (int i = 0; i < kBatchSize; ++i) {
+      const int slot =
+          floor_slot + static_cast<int>(rng.Index(kTimestamps - floor_slot));
+      const double time = 0.5 * slot;
+      queue.Push(SimTime::FromSeconds(time), next_id);
+      reference.emplace(time, next_id);
+      ++next_id;
+    }
+    for (int i = 0; i < kBatchSize / 2; ++i) {
+      pop_one();
+      if (HasFatalFailure()) return;
+    }
+  }
+  while (!reference.empty()) {
+    pop_one();
+    if (HasFatalFailure()) return;
+  }
   EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(next_id, kBatches * kBatchSize);
 }
 
-TEST(CalendarQueueTest, SchedulingBeforeTheLastPopIsRejected) {
-  CalendarQueue<int> queue;
-  queue.Push(SimTime::FromSeconds(5.0), 1);
-  queue.PopMin();
-  EXPECT_THROW(queue.Push(SimTime::FromSeconds(4.0), 2), CheckError);
-  queue.Push(SimTime::FromSeconds(5.0), 3);  // exactly the floor is fine
-  EXPECT_EQ(queue.PopMin(), 3);
-}
+// --- payload lifetime under EventFn payloads (ASan-backed) -------------------
 
-// --- pool lifetime rules under EventFn payloads (ASan-backed) ----------------
-
-TEST(CalendarQueueTest, PopDuringCallbackPushStormIsPoolSafe) {
+TEST(EventQueueTest, PopDuringCallbackPushStormIsSafe) {
   // The lifetime rule the Simulator relies on: the payload is moved out
   // before the caller invokes it, so a callback pushing enough events to
-  // grow (and relocate) the pool is safe. ASan turns a violation into a
-  // hard failure.
-  CalendarQueue<EventFn> queue;
+  // grow (and relocate) the entry vector is safe. ASan turns a violation
+  // into a hard failure.
+  BinaryHeapQueue<EventFn> queue;
   int fired = 0;
-  std::function<void(double)> seed_push = [&](double at) {
-    queue.Push(SimTime::FromSeconds(at), [&fired, &queue, at] {
-      ++fired;
-      for (int i = 0; i < 64; ++i) {
-        queue.Push(SimTime::FromSeconds(at + 1.0 + i), [&fired] { ++fired; });
-      }
-    });
-  };
-  seed_push(1.0);
+  queue.Push(SimTime::FromSeconds(1.0), [&fired, &queue] {
+    ++fired;
+    for (int i = 0; i < 64; ++i) {
+      queue.Push(SimTime::FromSeconds(2.0 + i), [&fired] { ++fired; });
+    }
+  });
   EventFn first = queue.PopMin();
-  first();  // grows the pool from inside the "event"
+  first();  // grows the heap from inside the "event"
   EXPECT_EQ(fired, 1);
   while (!queue.empty()) {
     EventFn fn = queue.PopMin();
@@ -526,10 +449,10 @@ TEST(CalendarQueueTest, PopDuringCallbackPushStormIsPoolSafe) {
   EXPECT_EQ(fired, 65);
 }
 
-TEST(CalendarQueueTest, CancelAndTeardownDestroyBoxedPayloads) {
-  // Closures above EventFn's inline budget are heap-boxed; cancelling a
-  // pending event and destroying a non-empty queue must both free the box
-  // (ASan catches leaks and double-frees).
+TEST(EventQueueTest, TeardownDestroysBoxedPayloads) {
+  // Closures above EventFn's inline budget are heap-boxed; destroying a
+  // non-empty queue must free every box (ASan catches leaks and
+  // double-frees).
   auto token = std::make_shared<int>(42);
   struct Big {
     std::shared_ptr<int> token;
@@ -537,15 +460,13 @@ TEST(CalendarQueueTest, CancelAndTeardownDestroyBoxedPayloads) {
   };
   static_assert(sizeof(Big) > EventFn::kInlineBytes);
   {
-    CalendarQueue<EventFn> queue;
-    const auto doomed = queue.Push(
-        SimTime::FromSeconds(1.0),
-        [big = Big{token, {}}] { FAIL() << "cancelled event fired"; });
-    queue.Push(SimTime::FromSeconds(2.0),
-               [big = Big{token, {}}] { FAIL() << "never-popped event fired"; });
-    EXPECT_EQ(token.use_count(), 3);
-    EXPECT_TRUE(queue.Cancel(doomed));
-    EXPECT_EQ(token.use_count(), 2) << "cancel must destroy the payload now";
+    BinaryHeapQueue<EventFn> queue;
+    for (int i = 0; i < 3; ++i) {
+      queue.Push(SimTime::FromSeconds(1.0 + i), [big = Big{token, {}}] {
+        FAIL() << "never-popped event fired";
+      });
+    }
+    EXPECT_EQ(token.use_count(), 4);
   }
   EXPECT_EQ(token.use_count(), 1) << "teardown must destroy pending payloads";
 }
